@@ -1,7 +1,9 @@
 """Command-line front end: energy, residual, sweeps, region maps, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
-Nonzero residuals are results, not failures, except under ``verify``.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+including non-finite input and reports that overflow at the given (p, q);
+the message names the flag.  Nonzero residuals are results, not failures,
+except under ``verify``.
 All numeric output is printed with 17 significant digits so runs diff
 cleanly; identical (config, seed) pairs produce byte-identical JSON.
 
@@ -12,6 +14,7 @@ before the numerics (numpy/BLAS) are first imported.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -75,6 +78,33 @@ def _parse_config(args: argparse.Namespace, need_section: bool = True) -> RunCon
     )
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the real-valued flags."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _parse_range(text: str, flag: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(tok) for tok in text.split(":"))
+    except ValueError:
+        raise UsageError(flag, f"expected lo:hi, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(flag, f"endpoints must be finite, got {text!r}")
+    return lo, hi
+
+
+def _require_finite(report: dict, what: str) -> None:
+    """Extreme (p, q) overflow w^p or the q terms; such a report has no JSON form."""
+    if not all(math.isfinite(v) for v in report.values() if isinstance(v, float)):
+        raise UsageError("--p/--q", f"the {what} is not finite at these parameters")
+
+
 def _make_quadrature(cfg: RunConfig):
     from . import geometry
 
@@ -116,6 +146,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     cfg = _parse_config(args)
     quad = _make_quadrature(cfg)
     report = energy.energy(cfg.section, cfg.manifold, energy.MetricParams(args.p, args.q), quad)
+    _require_finite(report.to_json_dict(), "energy")
     payload = {
         "manifold": cfg.canonical_manifold,
         "section": cfg.canonical_section,
@@ -149,6 +180,7 @@ def cmd_residual(args: argparse.Namespace) -> int:
         cfg.section, cfg.manifold, energy.MetricParams(args.p, args.q), quad,
         with_per_point=args.per_point is not None,
     )
+    _require_finite(report.to_json_dict(), "residual")
     if args.per_point is not None:
         axis = sections.section_axis(cfg.section)
         with open(args.per_point, "w", newline="") as fh:
@@ -166,10 +198,9 @@ def cmd_residual(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from . import energy, serialize, solver
 
-    try:
-        lo, hi = (float(tok) for tok in args.range.split(":"))
-    except ValueError:
-        raise UsageError("--range", f"expected lo:hi, got {args.range!r}") from None
+    lo, hi = _parse_range(args.range, "--range")
+    if args.steps < 3:
+        raise UsageError("--steps", f"need at least 3 sweep steps, got {args.steps}")
     mp = energy.MetricParams(args.p, args.q)
     if args.kind == "scale":
         cfg = _parse_config(args)
@@ -179,6 +210,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise UsageError("--section", str(exc)) from None
     else:
+        if min(lo, hi) <= 0.0 <= max(lo, hi):
+            raise UsageError("--range", f"the axis length must be nonzero, got {args.range!r}")
         cfg = _parse_config(args, need_section=False)
         quad = _make_quadrature(cfg)
         try:
@@ -209,15 +242,14 @@ def cmd_regions(args: argparse.Namespace) -> int:
 
     from . import regions
 
-    def parse_range(text: str, flag: str) -> tuple[float, float]:
-        try:
-            lo, hi = (float(tok) for tok in text.split(":"))
-            return lo, hi
-        except ValueError:
-            raise UsageError(flag, f"expected lo:hi, got {text!r}") from None
-
-    p_range = parse_range(args.p_range, "--p-range")
-    q_range = parse_range(args.q_range, "--q-range")
+    for flag, value in (("--mu", args.mu), ("--nu", args.nu)):
+        if value <= 0.0:
+            raise UsageError(flag, f"must be positive, got {value!r}")
+    p_range = _parse_range(args.p_range, "--p-range")
+    q_range = _parse_range(args.q_range, "--q-range")
+    for flag, (lo, hi) in (("--p-range", p_range), ("--q-range", q_range)):
+        if not lo < hi:
+            raise UsageError(flag, f"need lo < hi, got {lo!r}:{hi!r}")
     try:
         rows = regions.export_region_grid(args.mu, args.nu, p_range, q_range, args.res)
     except ValueError as exc:
@@ -265,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_energy = sub.add_parser("energy", help="vertical (p,q)-energy of a section")
     _add_common(p_energy)
-    p_energy.add_argument("--p", type=float, required=True)
-    p_energy.add_argument("--q", type=float, required=True)
+    p_energy.add_argument("--p", type=_finite_float, required=True)
+    p_energy.add_argument("--q", type=_finite_float, required=True)
     p_energy.add_argument("--output", default=None, help="write JSON/CSV here instead of stdout")
     p_energy.add_argument("--format", choices=("json", "csv"), default="json")
     p_energy.set_defaults(func=cmd_energy)
 
     p_res = sub.add_parser("residual", help="criticality residual of a section")
     _add_common(p_res)
-    p_res.add_argument("--p", type=float, required=True)
-    p_res.add_argument("--q", type=float, required=True)
+    p_res.add_argument("--p", type=_finite_float, required=True)
+    p_res.add_argument("--q", type=_finite_float, required=True)
     p_res.add_argument("--per-point", default=None, metavar="CSV",
                        help="also write the per-point breakdown to this CSV file")
     p_res.add_argument("--output", default=None)
@@ -283,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="residual/energy sweep over a rescaling parameter")
     p_sweep.add_argument("--kind", choices=("scale", "conformal"), default="scale")
     _add_common(p_sweep)
-    p_sweep.add_argument("--p", type=float, required=True)
-    p_sweep.add_argument("--q", type=float, required=True)
+    p_sweep.add_argument("--p", type=_finite_float, required=True)
+    p_sweep.add_argument("--q", type=_finite_float, required=True)
     p_sweep.add_argument("--range", required=True, help="sweep range lo:hi")
     p_sweep.add_argument("--steps", type=int, default=50)
     p_sweep.add_argument("--output", default=None, help="CSV of (k, residual, energy)")
@@ -299,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve52)
 
     p_reg = sub.add_parser("regions", help="parameter-plane region grid (CSV, optional SVG)")
-    p_reg.add_argument("--mu", type=float, required=True)
-    p_reg.add_argument("--nu", type=float, required=True)
+    p_reg.add_argument("--mu", type=_finite_float, required=True)
+    p_reg.add_argument("--nu", type=_finite_float, required=True)
     p_reg.add_argument("--p-range", required=True, dest="p_range")
     p_reg.add_argument("--q-range", required=True, dest="q_range")
     p_reg.add_argument("--res", type=int, default=100, help="grid resolution per axis")

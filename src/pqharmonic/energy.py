@@ -5,8 +5,10 @@ For metric parameters (p, q) the energy of a section sigma is
     E = 1/2 * integral of  w(|sigma|^2)^p * (|grad sigma|^2 + q*|grad F|^2)
 
 with w(t) = 1/(1+t) and F = |sigma|^2/2, realized as a weighted sum over a
-quadrature set.  Identical quadrature sets should be reused across
-comparisons so Monte Carlo error cancels in ratios and differences.
+quadrature set.  The pointwise density and Kato margin are functions of the
+section's jets (``sections.JetArrays``).  Identical quadrature sets should be
+reused across comparisons so Monte Carlo error cancels in ratios and
+differences.
 """
 
 from __future__ import annotations
@@ -60,36 +62,17 @@ def weight(e_norm_sq: float) -> float:
     return 1.0 / (1.0 + e_norm_sq)
 
 
-def density_batch(s: SectionSpec, m: ManifoldSpec, X: np.ndarray, mp: MetricParams) -> np.ndarray:
-    jets = sections.jet_batch(s, m, X, order=1)
-    return density_from_jets(jets, mp)
-
-
-def density_from_jets(jets: sections.JetArrays, mp: MetricParams) -> np.ndarray:
-    w = 1.0 / (1.0 + 2.0 * jets.half_len2)
-    grad_f_sq = np.sum(jets.grad_half_len2 * jets.grad_half_len2, axis=1)
-    return w**mp.p * (jets.deriv_norm2 + mp.q * grad_f_sq)
-
-
-def density(s: SectionSpec, m: ManifoldSpec, x: np.ndarray, mp: MetricParams) -> float:
-    """Pointwise energy density w^p * (|grad sigma|^2 + q*|grad F|^2)."""
-    sections.check_compatible(s, m)
-    x = geometry.check_point(m, x)
-    return float(density_batch(s, m, x[None, :], mp)[0])
-
-
-def kato_margin_batch(s: SectionSpec, m: ManifoldSpec, X: np.ndarray, q: float) -> np.ndarray:
-    jets = sections.jet_batch(s, m, X, order=1)
+def kato_margin_from_jets(jets: sections.JetArrays, q: float) -> np.ndarray:
+    """|grad sigma|^2 + q*|grad F|^2; nonnegative for q-Riemannian sections,
+    zero exactly where the section is parallel."""
     grad_f_sq = np.sum(jets.grad_half_len2 * jets.grad_half_len2, axis=1)
     return jets.deriv_norm2 + q * grad_f_sq
 
 
-def kato_margin(s: SectionSpec, m: ManifoldSpec, x: np.ndarray, q: float) -> float:
-    """|grad sigma|^2 + q*|grad F|^2; nonnegative for q-Riemannian sections,
-    zero exactly where the section is parallel."""
-    sections.check_compatible(s, m)
-    x = geometry.check_point(m, x)
-    return float(kato_margin_batch(s, m, x[None, :], q)[0])
+def density_from_jets(jets: sections.JetArrays, mp: MetricParams) -> np.ndarray:
+    """Pointwise energy density w^p * (|grad sigma|^2 + q*|grad F|^2)."""
+    w = 1.0 / (1.0 + 2.0 * jets.half_len2)
+    return w**mp.p * kato_margin_from_jets(jets, mp.q)
 
 
 class QRiemannianClass(Enum):
@@ -138,7 +121,7 @@ def energy(s: SectionSpec, m: ManifoldSpec, mp: MetricParams, quad: QuadratureSe
     sections.check_compatible(s, m)
     if quad.n_points == 0:
         raise ValueError("empty quadrature set")
-    dens = density_batch(s, m, quad.points, mp)
+    dens = density_from_jets(sections.jet_batch(s, m, quad.points, order=1), mp)
     total = 0.5 * float(np.sum(quad.weights * dens))
     return EnergyReport(
         total=total,

@@ -1,10 +1,13 @@
 """Tangent vector field families with closed-form covariant derivatives.
 
 Each family evaluates to a field tangent to the base manifold, and carries
-analytic first derivatives.  Full derivative data (the jet: value, frame
-derivatives, rough Laplacian, the scalar half_len2 = |sigma|^2/2 with its
-gradient and Laplacian) is analytic for every family except ``LinearAmbient``,
-whose second-order data is assembled semi-analytically: one nested central
+analytic first derivatives.  ``jet_batch`` returns the full derivative data
+over a stack of points as ``JetArrays`` (value, |grad sigma|^2, rough
+Laplacian, the scalar half_len2 = |sigma|^2/2 with its gradient and
+Laplacian, and the derivative along that gradient); every derived quantity
+of the energy and the criticality equation is a function of these arrays.
+The data is analytic for every family except ``LinearAmbient``, whose
+second-order data is assembled semi-analytically: one nested central
 difference of the closed-form first derivative, always differencing
 parallel-transported vectors (a raw ambient stencil would pick up
 second-fundamental-form terms).
@@ -15,6 +18,7 @@ Finite-difference oracles for the analytic formulas live here too:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -275,13 +279,7 @@ def _scalar_laplacian_fd_batch(values_fn, m: ManifoldSpec, X: np.ndarray, h: flo
     return -acc
 
 
-def jet_batch(
-    s: SectionSpec,
-    m: ManifoldSpec,
-    X: np.ndarray,
-    fd_step: float = FD_STEP_SECOND,
-    order: int = 2,
-) -> JetArrays:
+def jet_batch(s: SectionSpec, m: ManifoldSpec, X: np.ndarray, order: int = 2) -> JetArrays:
     """Full derivative data over a stack of points.
 
     ``order=1`` skips the finite-difference second-order fields of
@@ -342,14 +340,14 @@ def jet_batch(
         return JetArrays(
             value=value,
             deriv_norm2=deriv_norm2,
-            rough_laplacian=_rough_laplacian_fd_batch(s, m, X, fd_step) if second else None,
+            rough_laplacian=_rough_laplacian_fd_batch(s, m, X, FD_STEP_SECOND) if second else None,
             half_len2=half,
             grad_half_len2=grad_half,
-            lap_half_len2=_scalar_laplacian_fd_batch(half_len2_at, m, X, fd_step) if second else None,
+            lap_half_len2=_scalar_laplacian_fd_batch(half_len2_at, m, X, FD_STEP_SECOND) if second else None,
             deriv_along_grad=derivative_batch(s, m, X, grad_half),
         )
     if isinstance(s, Rescaled):
-        base = jet_batch(s.base, m, X, fd_step, order)
+        base = jet_batch(s.base, m, X, order)
         f, gradf, lapf = scalar_batch(s.factor, m, X)
         gradf_norm2 = np.sum(gradf * gradf, axis=1)
         value = f[:, None] * base.value
@@ -402,22 +400,6 @@ def jet_batch(
 
 # ---------------------------------------------------------------------------
 # single-point API
-
-
-@dataclass
-class JetData:
-    """Derivative data of a section at one point."""
-
-    value: np.ndarray
-    frame_derivs: np.ndarray     # (dim, ambient_dim), derivative along each frame vector
-    rough_laplacian: np.ndarray
-    half_len2: float             # |sigma|^2 / 2
-    grad_half_len2: np.ndarray
-    lap_half_len2: float
-
-    @property
-    def deriv_norm2(self) -> float:
-        return float(np.sum(self.frame_derivs * self.frame_derivs))
 
 
 def evaluate(s: SectionSpec, m: ManifoldSpec, x: np.ndarray) -> np.ndarray:
@@ -481,24 +463,6 @@ def rough_laplacian_fd(
         raise ValueError(f"step must be positive, got {step}")
     x = geometry.check_point(m, x)
     return _rough_laplacian_fd_batch(s, m, x[None, :], step)[0]
-
-
-def jet(s: SectionSpec, m: ManifoldSpec, x: np.ndarray) -> JetData:
-    """Full derivative data at one point, using the deterministic frame."""
-    check_compatible(s, m)
-    x = geometry.check_point(m, x)
-    arrays = jet_batch(s, m, x[None, :])
-    frame = geometry.frame_batch(m, x[None, :])[0]
-    base = np.broadcast_to(x, frame.shape)
-    derivs = derivative_batch(s, m, base, frame)
-    return JetData(
-        value=arrays.value[0],
-        frame_derivs=derivs,
-        rough_laplacian=arrays.rough_laplacian[0],
-        half_len2=float(arrays.half_len2[0]),
-        grad_half_len2=arrays.grad_half_len2[0],
-        lap_half_len2=float(arrays.lap_half_len2[0]),
-    )
 
 
 def sup_norm(s: SectionSpec, m: ManifoldSpec, quad: geometry.QuadratureSet) -> float:
@@ -609,7 +573,7 @@ def parse_section(text: str) -> SectionSpec:
             if not inner:
                 raise ValueError("scaled needs a base family and a factor")
             if last.startswith("k="):
-                return Rescaled(parse_section(inner), Constant(float(last[2:])))
+                return Rescaled(parse_section(inner), Constant(_parse_float(last[2:])))
             if last.startswith("axis="):
                 return Rescaled(parse_section(inner), AxisLinear(_parse_floats(last[5:])))
             raise ValueError(f"unknown scale factor {last!r}")
@@ -625,8 +589,15 @@ def _expect_key(body: str, key: str) -> str:
     return body[len(prefix):]
 
 
+def _parse_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient {token!r} is not finite")
+    return value
+
+
 def _parse_floats(body: str) -> np.ndarray:
-    return np.array([float(tok) for tok in body.split(",") if tok != ""])
+    return np.array([_parse_float(tok) for tok in body.split(",") if tok != ""])
 
 
 def section_axis(s: SectionSpec) -> np.ndarray | None:

@@ -2,9 +2,12 @@
 
 The search procedures sweep a one-parameter rescaling of a trial section
 (linear scale k, or axial length c of a conformal gradient), locate residual
-roots by bracketing grid minima and bisecting on the slope sign, and report
-energy critical points alongside.  One quadrature set is reused across the
-whole grid so the curves are smooth in the sweep parameter.
+roots by bracketing grid minima and bisecting on the slope sign
+(``grid_roots``, the one root scan of the package), and report energy
+critical points alongside.  The jets of each grid point are built once and
+feed both the residual and the energy; a range may be given in either order.
+One quadrature set is reused across the whole grid so the curves are smooth
+in the sweep parameter.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .geometry import ManifoldSpec, QuadratureSet
 from .sections import AxisLinear, Constant, ConformalGradient, Hopf, Rescaled, ScalarFieldSpec, SectionSpec
 
 ROOT_TOL = 1e-8
-NO_ROOT_FLOOR = 1e-4
 BISECT_K_TOL = 1e-10
 
 
@@ -94,26 +96,50 @@ def _refine_root(f, a: float, b: float, tol: float = BISECT_K_TOL) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sweep(
-    residual_at, energy_at, grid: np.ndarray, root_tol: float
-) -> ScaleSweepResult:
-    res = np.array([residual_at(k) for k in grid])
-    ene = np.array([energy_at(k) for k in grid])
-    pts = [SweepPoint(float(k), float(r), float(e)) for k, r, e in zip(grid, res, ene)]
+def grid_roots(f, grid: np.ndarray, values: np.ndarray, root_tol: float = ROOT_TOL) -> list[float]:
+    """Zeros of a nonnegative V-shaped function ``f`` sampled as ``values`` on an
+    increasing ``grid``.
 
+    Every grid minimum is refined by bisection inside the bracket of its two
+    neighbours (an edge minimum is kept as is) and accepted when ``f`` there is
+    at most ``root_tol``; accepted roots closer than 10*BISECT_K_TOL merge.
+    """
     roots: list[float] = []
     for i in range(len(grid)):
-        left = res[i - 1] if i > 0 else np.inf
-        right = res[i + 1] if i + 1 < len(grid) else np.inf
-        if res[i] <= left and res[i] <= right:
+        left = values[i - 1] if i > 0 else np.inf
+        right = values[i + 1] if i + 1 < len(grid) else np.inf
+        if values[i] <= left and values[i] <= right:
             if i == 0 or i + 1 == len(grid):
-                k_star = float(grid[i])  # edge minimum: no bracket to refine
+                x_star = float(grid[i])  # edge minimum: no bracket to refine
             else:
-                k_star = _refine_root(residual_at, float(grid[i - 1]), float(grid[i + 1]))
-            if residual_at(k_star) <= root_tol and not any(
-                abs(k_star - r) <= 10 * BISECT_K_TOL for r in roots
+                x_star = _refine_root(f, float(grid[i - 1]), float(grid[i + 1]))
+            if f(x_star) <= root_tol and not any(
+                abs(x_star - r) <= 10 * BISECT_K_TOL for r in roots
             ):
-                roots.append(k_star)
+                roots.append(x_star)
+    return roots
+
+
+def _sweep(
+    jets_at, mp: MetricParams, quad: QuadratureSet, param_range: tuple[float, float],
+    steps: int, root_tol: float,
+) -> ScaleSweepResult:
+    """Residual and energy of ``jets_at(k)`` on a grid over the range (in either
+    order), with residual roots and energy critical points."""
+    if steps < 3:
+        raise ValueError(f"need at least 3 sweep steps, got {steps}")
+
+    def residual_of(jets: sections.JetArrays) -> float:
+        return variational.residual_from_jets(jets, mp, quad).l2_residual
+
+    def residual_and_energy(k: float) -> tuple[float, float]:
+        jets = jets_at(k)
+        return residual_of(jets), 0.5 * float(np.sum(quad.weights * density_from_jets(jets, mp)))
+
+    grid = np.linspace(*sorted(param_range), steps)
+    res, ene = np.array([residual_and_energy(k) for k in grid]).T
+    pts = [SweepPoint(float(k), float(r), float(e)) for k, r, e in zip(grid, res, ene)]
+    roots = grid_roots(lambda k: residual_of(jets_at(k)), grid, res, root_tol)
 
     critical: list[float] = []
     slopes = np.diff(ene)
@@ -140,8 +166,6 @@ def scale_sweep(
     points are sign changes of the grid slope of the energy.
     """
     sections.check_compatible(base, m)
-    if steps < 3:
-        raise ValueError(f"need at least 3 sweep steps, got {steps}")
     lengths = np.linalg.norm(sections.evaluate_batch(base, m, quad.points), axis=1)
     if np.max(np.abs(lengths - 1.0)) > 1e-8:
         raise ValueError("scale sweep needs a unit-length base section")
@@ -159,15 +183,7 @@ def scale_sweep(
             deriv_along_grad=k * k * k * base_jets.deriv_along_grad,
         )
 
-    def residual_at(k: float) -> float:
-        return variational.residual_from_jets(jets_at(k), mp, quad).l2_residual
-
-    def energy_at(k: float) -> float:
-        dens = density_from_jets(jets_at(k), mp)
-        return 0.5 * float(np.sum(quad.weights * dens))
-
-    grid = np.linspace(k_range[0], k_range[1], steps)
-    return _sweep(residual_at, energy_at, grid, root_tol)
+    return _sweep(jets_at, mp, quad, k_range, steps, root_tol)
 
 
 def conformal_axis_sweep(
@@ -182,8 +198,6 @@ def conformal_axis_sweep(
     """Sweep the axial length c of a conformal gradient field."""
     if not m.is_sphere:
         raise ValueError("conformal gradient sweeps need a sphere")
-    if steps < 3:
-        raise ValueError(f"need at least 3 sweep steps, got {steps}")
     if axis_direction is None:
         direction = np.zeros(m.ambient_dim)
         direction[0] = 1.0
@@ -194,15 +208,7 @@ def conformal_axis_sweep(
     def jets_at(c: float) -> sections.JetArrays:
         return sections.jet_batch(ConformalGradient(c * direction), m, quad.points)
 
-    def residual_at(c: float) -> float:
-        return variational.residual_from_jets(jets_at(c), mp, quad).l2_residual
-
-    def energy_at(c: float) -> float:
-        dens = density_from_jets(jets_at(c), mp)
-        return 0.5 * float(np.sum(quad.weights * dens))
-
-    grid = np.linspace(c_range[0], c_range[1], steps)
-    return _sweep(residual_at, energy_at, grid, root_tol)
+    return _sweep(jets_at, mp, quad, c_range, steps, root_tol)
 
 
 def functional_rescale_check(

@@ -6,12 +6,13 @@ where
     tension    = (1 + 2F) * rough_laplacian + 2p * deriv_along_grad_F
     multiplier = p*|grad sigma|^2 - p*q*|grad F|^2 - q*(1 + 2F)*lap F
 
-The residual field tension - multiplier*sigma is aggregated over quadrature
-sets into sup and (weighted) L2 norms.  The first variation is evaluated in
-the pre-divergence form, i.e. as the pointwise t-derivative of the energy
-density; integration by parts would change the integrand by a divergence
-that a finite quadrature set does not annihilate, and the centered-FD-of-
-energy oracle shares the quadrature set by contract.
+Both are pointwise functions of the section's jets (``tension_from_jets``,
+``multiplier_from_jets``).  The residual field tension - multiplier*sigma is
+aggregated over quadrature sets into sup and (weighted) L2 norms.  The first
+variation is evaluated in the pre-divergence form, i.e. as the pointwise
+t-derivative of the energy density; integration by parts would change the
+integrand by a divergence that a finite quadrature set does not annihilate,
+and the centered-FD-of-energy oracle shares the quadrature set by contract.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, sections
-from .energy import MetricParams
+from .energy import MetricParams, kato_margin_from_jets
 from .geometry import ManifoldSpec, QuadratureSet
 from .sections import SectionSpec
-
-RESIDUAL_TOL_ANALYTIC = 1e-10
-RESIDUAL_TOL_FD = 1e-5
 
 
 @dataclass(frozen=True)
@@ -83,13 +81,15 @@ class VariationSpec:
     direction: SectionSpec
 
 
-def _tension_from_jets(jets: sections.JetArrays, p: float) -> np.ndarray:
+def tension_from_jets(jets: sections.JetArrays, p: float) -> np.ndarray:
+    """(1+2F)*rough_laplacian + 2p*(derivative along grad F) at each point."""
     return (1.0 + 2.0 * jets.half_len2)[:, None] * jets.rough_laplacian + (
         2.0 * p
     ) * jets.deriv_along_grad
 
 
-def _multiplier_from_jets(jets: sections.JetArrays, mp: MetricParams) -> np.ndarray:
+def multiplier_from_jets(jets: sections.JetArrays, mp: MetricParams) -> np.ndarray:
+    """The scalar multiplying sigma in the criticality equation, at each point."""
     grad_f_sq = np.sum(jets.grad_half_len2 * jets.grad_half_len2, axis=1)
     return (
         mp.p * jets.deriv_norm2
@@ -98,20 +98,23 @@ def _multiplier_from_jets(jets: sections.JetArrays, mp: MetricParams) -> np.ndar
     )
 
 
-def tension(s: SectionSpec, m: ManifoldSpec, x: np.ndarray, p: float) -> np.ndarray:
-    """(1+2F)*rough_laplacian + 2p*(derivative along grad F) at a point."""
-    sections.check_compatible(s, m)
-    x = geometry.check_point(m, x)
-    jets = sections.jet_batch(s, m, x[None, :])
-    return _tension_from_jets(jets, p)[0]
-
-
-def multiplier(s: SectionSpec, m: ManifoldSpec, x: np.ndarray, mp: MetricParams) -> float:
-    """The scalar multiplying sigma in the criticality equation."""
-    sections.check_compatible(s, m)
-    x = geometry.check_point(m, x)
-    jets = sections.jet_batch(s, m, x[None, :])
-    return float(_multiplier_from_jets(jets, mp)[0])
+def _residual_report(
+    t_vec: np.ndarray, mult: np.ndarray, value: np.ndarray, quad: QuadratureSet,
+    params: MetricParams | None, with_per_point: bool,
+) -> ResidualReport:
+    """Sup, weighted L2 and optional per-point rows of t_vec - mult*value."""
+    res = t_vec - mult[:, None] * value
+    norms = np.linalg.norm(res, axis=1)
+    sup = float(np.max(norms))
+    l2 = float(np.sqrt(np.sum(quad.weights * norms * norms)))
+    per_point = None
+    if with_per_point:
+        t_norms = np.linalg.norm(t_vec, axis=1)
+        per_point = [
+            PerPointResidual(quad.points[i].copy(), float(norms[i]), float(t_norms[i]), abs(float(mult[i])))
+            for i in range(quad.n_points)
+        ]
+    return ResidualReport(sup, l2, quad.n_points, quad.seed, params, per_point)
 
 
 def residual_from_jets(
@@ -123,20 +126,10 @@ def residual_from_jets(
     Jets are taken as an argument so parameter sweeps can reuse one set of
     point data across many (p, q).
     """
-    t_vec = _tension_from_jets(jets, mp.p)
-    mult = _multiplier_from_jets(jets, mp)
-    res = t_vec - mult[:, None] * jets.value
-    norms = np.linalg.norm(res, axis=1)
-    sup = float(np.max(norms))
-    l2 = float(np.sqrt(np.sum(quad.weights * norms * norms)))
-    per_point = None
-    if with_per_point:
-        t_norms = np.linalg.norm(t_vec, axis=1)
-        per_point = [
-            PerPointResidual(quad.points[i].copy(), float(norms[i]), float(t_norms[i]), abs(float(mult[i])))
-            for i in range(quad.n_points)
-        ]
-    return ResidualReport(sup, l2, quad.n_points, quad.seed, mp, per_point)
+    return _residual_report(
+        tension_from_jets(jets, mp.p), multiplier_from_jets(jets, mp), jets.value,
+        quad, mp, with_per_point,
+    )
 
 
 def residual(
@@ -150,18 +143,6 @@ def residual(
         raise ValueError("empty quadrature set")
     jets = sections.jet_batch(s, m, quad.points)
     return residual_from_jets(jets, mp, quad, with_per_point)
-
-
-def multiplier_difference(
-    s: SectionSpec, m: ManifoldSpec, x: np.ndarray, p: float, q: float, r: float
-) -> float:
-    """multiplier(p,r) - multiplier(p,q), via the factored identity
-    (q - r) * (p*|grad F|^2 + (1+2F)*lap F)."""
-    sections.check_compatible(s, m)
-    x = geometry.check_point(m, x)
-    jets = sections.jet_batch(s, m, x[None, :])
-    grad_f_sq = float(np.sum(jets.grad_half_len2[0] * jets.grad_half_len2[0]))
-    return (q - r) * (p * grad_f_sq + (1.0 + 2.0 * float(jets.half_len2[0])) * float(jets.lap_half_len2[0]))
 
 
 def sphere_bundle_residual(
@@ -187,18 +168,7 @@ def sphere_bundle_residual(
             f"[{lengths.min()!r}, {lengths.max()!r}]"
         )
     mult = jets.deriv_norm2 / (k * k)
-    res = jets.rough_laplacian - mult[:, None] * jets.value
-    norms = np.linalg.norm(res, axis=1)
-    sup = float(np.max(norms))
-    l2 = float(np.sqrt(np.sum(quad.weights * norms * norms)))
-    per_point = None
-    if with_per_point:
-        t_norms = np.linalg.norm(jets.rough_laplacian, axis=1)
-        per_point = [
-            PerPointResidual(quad.points[i].copy(), float(norms[i]), float(t_norms[i]), abs(float(mult[i])))
-            for i in range(quad.n_points)
-        ]
-    return ResidualReport(sup, l2, quad.n_points, quad.seed, None, per_point)
+    return _residual_report(jets.rough_laplacian, mult, jets.value, quad, None, with_per_point)
 
 
 def first_variation(
@@ -225,7 +195,6 @@ def first_variation(
     jets = sections.jet_batch(s, m, X, order=1)
     rho_val = sections.evaluate_batch(rho, m, X)
     w = 1.0 / (1.0 + 2.0 * jets.half_len2)
-    grad_f_sq = np.sum(jets.grad_half_len2 * jets.grad_half_len2, axis=1)
 
     # sum_i <d_i sigma, d_i rho> over the deterministic frame
     frames = geometry.frame_batch(m, X)
@@ -241,7 +210,7 @@ def first_variation(
         pairing
         + mp.q * np.sum(jets.value * rho_along_grad, axis=1)
         + mp.q * np.sum(jets.deriv_along_grad * rho_val, axis=1)
-    ) - mp.p * w ** (mp.p + 1.0) * (jets.deriv_norm2 + mp.q * grad_f_sq) * np.sum(
+    ) - mp.p * w ** (mp.p + 1.0) * kato_margin_from_jets(jets, mp.q) * np.sum(
         jets.value * rho_val, axis=1
     )
     return float(np.sum(quad.weights * integrand))

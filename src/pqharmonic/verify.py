@@ -187,12 +187,12 @@ def criterion_kato_margin(seed: int, fast: bool) -> tuple[bool, dict]:
     quad = geometry.make_quadrature(m, MONTE_CARLO, 10000, seed)
     axis = _unit_axis(m.ambient_dim, 0, sol.c)
     s = ConformalGradient(axis)
-    margins = energy.kato_margin_batch(s, m, quad.points, sol.q)
+    margins = energy.kato_margin_from_jets(sections.jet_batch(s, m, quad.points, order=1), sol.q)
     lam = quad.points @ axis
     min_margin = float(np.min(margins))
     positive_off_equator = bool(np.all(margins[lam != 0.0] > 0.0))
     equator = np.eye(m.ambient_dim)[1:]  # basis points orthogonal to the axis
-    eq_margins = energy.kato_margin_batch(s, m, equator, sol.q)
+    eq_margins = energy.kato_margin_from_jets(sections.jet_batch(s, m, equator, order=1), sol.q)
     zero_on_equator = bool(np.all(eq_margins == 0.0))
     cls_at = energy.classify_q_riemannian(s, m, sol.q, quad)
     cls_off = energy.classify_q_riemannian(s, m, sol.q - 0.01, quad)
@@ -260,29 +260,20 @@ def criterion_unique_q(seed: int, fast: bool) -> tuple[bool, dict]:
     jets = sections.jet_batch(s, m, quad.points)
     q_grid = np.linspace(-10.0, 10.0, 400)
     spacing = float(q_grid[1] - q_grid[0])
-    res = np.array([
-        variational.residual_from_jets(jets, MetricParams(p, float(q)), quad).l2_residual
-        for q in q_grid
-    ])
 
     def res_at(q: float) -> float:
         return variational.residual_from_jets(jets, MetricParams(p, float(q)), quad).l2_residual
 
-    roots = []
-    for i in range(1, len(q_grid) - 1):
-        if res[i] <= res[i - 1] and res[i] <= res[i + 1]:
-            q_star = solver._refine_root(res_at, float(q_grid[i - 1]), float(q_grid[i + 1]))
-            if res_at(q_star) < 1e-8:
-                roots.append(q_star)
+    roots = solver.grid_roots(res_at, q_grid, np.array([res_at(q) for q in q_grid]))
 
     # factored vs direct multiplier difference across the grid, at sample points
     sample = quad.points[:50]
     jets_s = sections.jet_batch(s, m, sample)
     grad_sq = np.sum(jets_s.grad_half_len2**2, axis=1)
     worst_gap = 0.0
-    base_mult = variational._multiplier_from_jets(jets_s, MetricParams(p, 0.0))
+    base_mult = variational.multiplier_from_jets(jets_s, MetricParams(p, 0.0))
     for q in q_grid:
-        direct = variational._multiplier_from_jets(jets_s, MetricParams(p, float(q))) - base_mult
+        direct = variational.multiplier_from_jets(jets_s, MetricParams(p, float(q))) - base_mult
         factored = (0.0 - float(q)) * (p * grad_sq + (1.0 + 2.0 * jets_s.half_len2) * jets_s.lap_half_len2)
         worst_gap = max(worst_gap, float(np.max(np.abs(direct - factored))))
 

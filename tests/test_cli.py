@@ -1,9 +1,13 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqharmonic import cli
 
@@ -12,6 +16,72 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_contract(argv):
+    """Exit code and stderr of one call; usage errors may come back as SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+S3_RUN = ["--manifold", "sphere:3", "--samples", "200", "--seed", "1"]
+SCALE = ["sweep", "--kind", "scale", "--section", "hopf", "--p", "2", "--q", "0", *S3_RUN]
+CONFORMAL = ["sweep", "--kind", "conformal", "--p", "4", "--q", "-1", *S3_RUN]
+REGIONS = ["regions", "--res", "4"]
+
+
+@pytest.mark.parametrize("flag,argv", [
+    # non-finite or overflowing input
+    ("--p", ["energy", "--section", "hopf", *S3_RUN, "--p", "nan", "--q", "0"]),
+    ("--q", ["residual", "--section", "hopf", *S3_RUN, "--p", "1", "--q", "nan"]),
+    ("--q", ["energy", "--section", "hopf", *S3_RUN, "--p", "1", "--q", "inf"]),
+    ("--section", ["residual", "--section", "conformal:a=inf,0,0,0", *S3_RUN, "--p", "1", "--q", "0"]),
+    ("--section", ["energy", "--section", "linear:A=1,0,0,0|0,1,0,0|0,0,1,0|0,0,0,1;b=nan,0,0,0",
+                   *S3_RUN, "--p", "1", "--q", "0"]),
+    ("--section", ["energy", "--section", "scaled:hopf:k=inf", *S3_RUN, "--p", "1", "--q", "0"]),
+    ("--p", ["energy", "--section", "hopf", "--manifold", "sphere:3", "--p", "-1100", "--q", "0",
+             "--samples", "200"]),
+    ("--p", ["residual", "--section", "conformal:a=1,0,0,0", *S3_RUN, "--p=-1e308", "--q", "1"]),
+    ("--mu", [*REGIONS, "--mu", "nan", "--nu", "1", "--p-range", "-5:5", "--q-range", "-8:4"]),
+    ("--nu", [*REGIONS, "--mu", "1", "--nu", "inf", "--p-range", "-5:5", "--q-range", "-8:4"]),
+    ("--p-range", [*REGIONS, "--mu", "1", "--nu", "1", "--p-range", "-5:inf", "--q-range", "-8:4"]),
+    ("--range", [*SCALE, "--range", "nan:3"]),
+    # the flag a bad value belongs to
+    ("--steps", [*SCALE, "--range", "0.1:3", "--steps", "2"]),
+    ("--steps", [*CONFORMAL, "--range", "0.1:3", "--steps", "2"]),
+    ("--range", [*CONFORMAL, "--range", "0:2"]),
+    ("--range", [*CONFORMAL, "--range", "1:-1"]),
+    ("--mu", [*REGIONS, "--mu", "-1", "--nu", "1", "--p-range", "-5:5", "--q-range", "-8:4"]),
+    ("--nu", [*REGIONS, "--mu", "1", "--nu", "0", "--p-range", "-5:5", "--q-range", "-8:4"]),
+    ("--p-range", [*REGIONS, "--mu", "1", "--nu", "1", "--p-range", "5:-5", "--q-range", "-8:4"]),
+    ("--q-range", [*REGIONS, "--mu", "1", "--nu", "1", "--p-range", "-5:5", "--q-range", "4:-8"]),
+])
+def test_bad_input_exits_2_naming_the_flag(flag, argv):
+    code, err = run_contract(argv)
+    assert code == 2
+    assert flag in err
+
+
+P_Q_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["energy", "residual"]), p=P_Q_FLOATS, q=P_Q_FLOATS)
+def test_any_p_q_exits_0_or_2_naming_the_flag(command, p, q):
+    code, err = run_contract([command, "--manifold", "sphere:3", "--section", "conformal:a=0.8,0.3,0,0",
+                              f"--p={p!r}", f"--q={q!r}", "--samples", "64"])
+    assert code in (0, 2)
+    if code == 2:
+        assert "--p" in err or "--q" in err
+        if not math.isfinite(p):
+            assert "--p" in err
+        elif not math.isfinite(q):
+            assert "--q" in err
 
 
 def test_energy_command_hopf(capsys):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pqharmonic import energy, geometry
+from pqharmonic import energy, geometry, sections
 from pqharmonic.energy import (
     MetricParams,
     QRiemannianClass,
     classify_q_riemannian,
     conformal_energy_polar,
-    density,
-    kato_margin,
+    density_from_jets,
+    kato_margin_from_jets,
     weight,
 )
 from pqharmonic.sections import (
@@ -35,6 +35,10 @@ T2 = geometry.torus(2)
 
 def mc(m, n, seed):
     return geometry.make_quadrature(m, geometry.MONTE_CARLO, n, seed)
+
+
+def jets(s, m, X):
+    return sections.jet_batch(s, m, np.atleast_2d(X), order=1)
 
 
 # --- weight -------------------------------------------------------------------
@@ -61,8 +65,8 @@ def test_weight_in_unit_interval_and_decreasing(t):
 
 
 def test_hopf_density_is_two_at_any_point_for_sasaki_params():
-    for x in mc(S3, 20, 0).points:
-        assert abs(density(Hopf(), S3, x, MetricParams(0.0, 0.0)) - 2.0) < 1e-14
+    dens = density_from_jets(jets(Hopf(), S3, mc(S3, 20, 0).points), MetricParams(0.0, 0.0))
+    assert np.max(np.abs(dens - 2.0)) < 1e-14
 
 
 @pytest.mark.parametrize("m,two_m", [(S3, 2.0), (S5, 4.0)])
@@ -72,14 +76,14 @@ def test_scaled_hopf_density_closed_form(m, two_m, k, q):
     # constant-length field: grad F = 0, so q drops out
     p = 1.7
     expected = (1.0 + k * k) ** (-p) * two_m * k * k
-    x = mc(m, 1, 1).points[0]
-    got = density(Rescaled(Hopf(), Constant(k)), m, x, MetricParams(p, q))
-    assert abs(got - expected) < 1e-14
+    s = Rescaled(Hopf(), Constant(k))
+    got = density_from_jets(jets(s, m, mc(m, 1, 1).points), MetricParams(p, q))
+    assert abs(got[0] - expected) < 1e-14
 
 
 def test_zero_section_density_vanishes():
-    x = mc(S3, 1, 2).points[0]
-    assert density(Zero(), S3, x, MetricParams(3.0, -2.0)) == 0.0
+    dens = density_from_jets(jets(Zero(), S3, mc(S3, 1, 2).points), MetricParams(3.0, -2.0))
+    assert dens[0] == 0.0
 
 
 # --- Kato margin -----------------------------------------------------------------
@@ -93,22 +97,22 @@ def test_kato_margin_formula_for_exact_conformal_solution():
     axis = np.zeros(6)
     axis[0] = c
     s = ConformalGradient(axis)
-    for x in mc(S5, 50, 3).points:
-        lam = float(x @ axis)
-        expected = (n - 1) * lam**2 + (n - 2) * lam**4
-        assert abs(kato_margin(s, S5, x, q) - expected) < 1e-12
+    X = mc(S5, 50, 3).points
+    lam = X @ axis
+    expected = (n - 1) * lam**2 + (n - 2) * lam**4
+    assert np.max(np.abs(kato_margin_from_jets(jets(s, S5, X), q) - expected)) < 1e-12
 
 
 def test_kato_margin_nonnegative_at_q_zero():
     rng = np.random.Generator(np.random.Philox(4))
     a_mat = rng.standard_normal((4, 4))
     for s in (Hopf(), LinearAmbient(a_mat, rng.standard_normal(4))):
-        for x in mc(S3, 20, 5).points:
-            assert kato_margin(s, S3, x, 0.0) >= 0.0
+        assert np.all(kato_margin_from_jets(jets(s, S3, mc(S3, 20, 5).points), 0.0) >= 0.0)
 
 
 def test_kato_margin_zero_for_parallel_field():
-    assert kato_margin(ConstantTorus(np.array([0.4, -0.2])), T2, np.array([0.3, 0.9]), -5.0) == 0.0
+    s = ConstantTorus(np.array([0.4, -0.2]))
+    assert kato_margin_from_jets(jets(s, T2, np.array([0.3, 0.9])), -5.0)[0] == 0.0
 
 
 # --- classification ----------------------------------------------------------------
@@ -209,7 +213,7 @@ def test_q_positive_sections_have_nonnegative_energy():
     axis[0] = c
     s = ConformalGradient(axis)
     q = float(2 - n)
-    margins = energy.kato_margin_batch(s, S5, quad.points, q)
+    margins = kato_margin_from_jets(jets(s, S5, quad.points), q)
     assert np.min(margins) >= -1e-9
     report = energy.energy(s, S5, MetricParams(3.0, q), quad)
     assert report.total >= -1e-6
@@ -220,7 +224,7 @@ def test_zero_energy_only_for_parallel_among_q_positive():
     s = ConstantTorus(np.array([2.0, 1.0]))
     report = energy.energy(s, T2, MetricParams(1.0, 1.0), quad)
     assert report.total == 0.0
-    margins = energy.kato_margin_batch(s, T2, quad.points, 1.0)
+    margins = kato_margin_from_jets(jets(s, T2, quad.points), 1.0)
     assert np.max(margins) <= 1e-9  # zero energy comes with zero margin
 
 

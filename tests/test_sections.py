@@ -17,7 +17,6 @@ from pqharmonic.sections import (
     covariant_derivative_fd,
     evaluate,
     hopf_matrix,
-    jet,
     parse_section,
     format_section,
     rough_laplacian_fd,
@@ -181,26 +180,26 @@ def test_fd_oracle_rejects_bad_step():
 
 def test_conformal_jet_rough_laplacian_equals_value():
     s = ConformalGradient(np.array([0.3, -0.1, 0.7, 1.1]))
-    for x in random_points(S3, 25, seed=4):
-        data = jet(s, S3, x)
-        assert np.allclose(data.rough_laplacian, data.value, atol=1e-14)
+    jets = sections.jet_batch(s, S3, random_points(S3, 25, seed=4))
+    assert np.allclose(jets.rough_laplacian, jets.value, atol=1e-14)
 
 
 def test_conformal_jet_half_len2_on_equator():
     c = 1.7
     s = ConformalGradient(np.array([c, 0.0, 0.0, 0.0]))
-    x = np.array([0.0, 1.0, 0.0, 0.0])  # height 0
-    data = jet(s, S3, x)
-    assert abs(data.half_len2 - c * c / 2.0) < 1e-14
+    x = np.array([[0.0, 1.0, 0.0, 0.0]])  # height 0
+    jets = sections.jet_batch(s, S3, x)
+    assert abs(jets.half_len2[0] - c * c / 2.0) < 1e-14
     # invariant: half_len2 is |value|^2/2 as computed
-    assert data.half_len2 == pytest.approx(0.5 * float(data.value @ data.value), abs=0)
+    assert jets.half_len2[0] == pytest.approx(0.5 * float(jets.value[0] @ jets.value[0]), abs=0)
 
 
 def test_hopf_jet_gradient_energy_is_two_on_s3():
     """Sum of squared frame derivatives; cross-checked against the FD oracle."""
-    for x in random_points(S3, 10, seed=6):
-        data = jet(Hopf(), S3, x)
-        assert abs(data.deriv_norm2 - 2.0) < 1e-12
+    X = random_points(S3, 10, seed=6)
+    jets = sections.jet_batch(Hopf(), S3, X)
+    assert np.max(np.abs(jets.deriv_norm2 - 2.0)) < 1e-12
+    for x in X:
         frame = geometry.orthonormal_frame(S3, x)
         fd_sum = sum(
             float(np.sum(covariant_derivative_fd(Hopf(), S3, x, e) ** 2)) for e in frame
@@ -209,11 +208,51 @@ def test_hopf_jet_gradient_energy_is_two_on_s3():
 
 
 def test_hopf_jet_constant_length_data():
-    data = jet(Hopf(), S5, random_points(S5, 1, seed=8)[0])
-    assert data.half_len2 == 0.5
-    assert np.array_equal(data.grad_half_len2, np.zeros(6))
-    assert data.lap_half_len2 == 0.0
-    assert abs(data.deriv_norm2 - 4.0) < 1e-12  # 2m on S^(2m+1)
+    jets = sections.jet_batch(Hopf(), S5, random_points(S5, 1, seed=8))
+    assert jets.half_len2[0] == 0.5
+    assert np.array_equal(jets.grad_half_len2[0], np.zeros(6))
+    assert jets.lap_half_len2[0] == 0.0
+    assert abs(jets.deriv_norm2[0] - 4.0) < 1e-12  # 2m on S^(2m+1)
+
+
+def _frame_oracle_families():
+    """Every family with a closed-form |grad sigma|^2, on S^3, S^5 and T^2."""
+    cases = []
+    for m in (S3, S5):
+        d = m.ambient_dim
+        rng = np.random.Generator(np.random.Philox(40 + d))
+        axis, scalar_axis = rng.standard_normal(d), rng.standard_normal(d)
+        lin = LinearAmbient(rng.standard_normal((d, d)), rng.standard_normal(d))
+        fams = {
+            "conformal": ConformalGradient(axis),
+            "hopf": Hopf(),
+            "linear": lin,
+            "scaled-linear-k": Rescaled(lin, Constant(-0.8)),
+            "scaled-hopf-k": Rescaled(Hopf(), Constant(1.3)),
+            "scaled-linear-axis": Rescaled(lin, AxisLinear(scalar_axis)),
+            "scaled-hopf-axis": Rescaled(Hopf(), AxisLinear(scalar_axis)),
+            "scaled-conformal-axis": Rescaled(ConformalGradient(axis), AxisLinear(scalar_axis)),
+        }
+        cases += [pytest.param(m, s, id=f"{m}-{name}") for name, s in fams.items()]
+    cases.append(pytest.param(T2, ConstantTorus(np.array([0.4, -1.1])), id="torus:2-constant"))
+    return cases
+
+
+@pytest.mark.parametrize("m,s", _frame_oracle_families())
+def test_deriv_norm2_matches_frame_derivatives(m, s):
+    """|grad sigma|^2 from jet_batch equals sum_i |derivative_batch(E_i)|^2 over the frame."""
+    if m.is_sphere:
+        X = random_points(m, 200, seed=41)
+    else:
+        X = np.random.Generator(np.random.Philox(41)).random((200, m.dim))
+    jets = sections.jet_batch(s, m, X, order=1)
+    frames = geometry.frame_batch(m, X)
+    oracle = sum(
+        np.sum(sections.derivative_batch(s, m, X, frames[:, i, :]) ** 2, axis=1)
+        for i in range(m.dim)
+    )
+    scale = max(float(np.max(np.abs(oracle))), 1.0)
+    assert np.max(np.abs(jets.deriv_norm2 - oracle)) <= 1e-12 * scale
 
 
 def test_rough_laplacian_fd_conformal():

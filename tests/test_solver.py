@@ -11,6 +11,7 @@ from pqharmonic.sections import AxisLinear, Constant, ConformalGradient, Hopf
 from pqharmonic.solver import (
     conformal_axis_sweep,
     functional_rescale_check,
+    grid_roots,
     scale_sweep,
     solve_conformal_parameters,
 )
@@ -69,6 +70,29 @@ def test_scale_sweep_requires_unit_length_base():
                     MetricParams(2.0, 0.0), (0.1, 3.0), 10, QUAD3)
     with pytest.raises(ValueError):
         scale_sweep(Hopf(), S3, MetricParams(2.0, 0.0), (0.1, 3.0), 2, QUAD3)
+
+
+@pytest.mark.parametrize("sweep,args", [
+    (scale_sweep, (Hopf(), S3, MetricParams(2.0, 0.0))),
+    (conformal_axis_sweep, (S3, MetricParams(4.0, -1.0))),
+])
+def test_reversed_range_gives_the_ordered_result(sweep, args):
+    ordered = sweep(*args, (0.1, 3.0), 40, QUAD3)
+    reversed_ = sweep(*args, (3.0, 0.1), 40, QUAD3)
+    assert len(ordered.roots) == 1
+    assert reversed_ == ordered
+
+
+def test_grid_roots_refines_interior_minima_and_keeps_edge_zeros():
+    def f(x):
+        return abs((x - 0.3) * (x - 1.2) * x)
+
+    grid = np.linspace(0.0, 1.5, 16)
+    roots = grid_roots(f, grid, np.array([f(x) for x in grid]))
+    assert len(roots) == 3
+    assert roots[0] == 0.0  # edge minimum, kept unrefined
+    assert abs(roots[1] - 0.3) < 1e-9 and abs(roots[2] - 1.2) < 1e-9
+    assert grid_roots(lambda x: 1.0 + x * x, grid, 1.0 + grid * grid) == []
 
 
 def test_sweep_csv_and_json(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pqharmonic import geometry, sections, variational
+from pqharmonic import geometry, sections
 from pqharmonic.energy import MetricParams
 from pqharmonic.sections import (
     AxisLinear,
@@ -20,11 +20,10 @@ from pqharmonic.variational import (
     VariationSpec,
     first_variation,
     first_variation_fd,
-    multiplier,
-    multiplier_difference,
+    multiplier_from_jets,
     residual,
     sphere_bundle_residual,
-    tension,
+    tension_from_jets,
 )
 
 S3 = geometry.sphere(3)
@@ -55,10 +54,10 @@ def test_tension_of_constant_length_field():
     """(1 + k^2) times the rough Laplacian, nothing else."""
     k = 0.5
     s = Rescaled(Hopf(), Constant(k))
-    for x in mc(S3, 10, 0).points:
-        t_vec = tension(s, S3, x, p=7.3)  # p drops out when grad F = 0
-        expected = (1.0 + k * k) * 2.0 * k * sections.evaluate(Hopf(), S3, x)
-        assert np.max(np.abs(t_vec - expected)) < 1e-12
+    X = mc(S3, 10, 0).points
+    t_vec = tension_from_jets(sections.jet_batch(s, S3, X), p=7.3)  # p drops out when grad F = 0
+    expected = (1.0 + k * k) * 2.0 * k * sections.evaluate_batch(Hopf(), S3, X)
+    assert np.max(np.abs(t_vec - expected)) < 1e-12
 
 
 def test_tension_of_conformal_family():
@@ -66,34 +65,36 @@ def test_tension_of_conformal_family():
     axis = np.array([c, 0.0, 0.0, 0.0])
     s = ConformalGradient(axis)
     p = 2.5
-    for x in mc(S3, 20, 1).points:
-        lam = float(x @ axis)
-        coeff = 1.0 + c * c + (2.0 * p - 1.0) * lam * lam
-        expected = coeff * sections.evaluate(s, S3, x)
-        assert np.max(np.abs(tension(s, S3, x, p) - expected)) < 1e-12
+    X = mc(S3, 20, 1).points
+    lam = X @ axis
+    coeff = 1.0 + c * c + (2.0 * p - 1.0) * lam * lam
+    expected = coeff[:, None] * sections.evaluate_batch(s, S3, X)
+    assert np.max(np.abs(tension_from_jets(sections.jet_batch(s, S3, X), p) - expected)) < 1e-12
 
 
 def test_tension_zero_section():
-    assert np.array_equal(tension(Zero(), S3, E1, 4.0), np.zeros(4))
+    t_vec = tension_from_jets(sections.jet_batch(Zero(), S3, E1[None, :]), 4.0)
+    assert np.array_equal(t_vec, np.zeros((1, 4)))
 
 
 def test_multiplier_constant_length_is_p_times_gradient_energy():
     k = 2.0
     s = Rescaled(Hopf(), Constant(k))
-    x = mc(S3, 1, 2).points[0]
+    jets = sections.jet_batch(s, S3, mc(S3, 1, 2).points)
     for q in (-2.0, 0.0, 5.0):
-        got = multiplier(s, S3, x, MetricParams(3.0, q))
-        assert abs(got - 3.0 * (2.0 * k * k)) < 1e-12
+        got = multiplier_from_jets(jets, MetricParams(3.0, q))
+        assert abs(got[0] - 3.0 * (2.0 * k * k)) < 1e-12
 
 
 def test_multiplier_conformal_closed_form():
     n, c, p, q = 3, 0.8, 1.5, -0.7
     axis = np.array([c, 0.0, 0.0, 0.0])
     s = ConformalGradient(axis)
-    for x in mc(S3, 20, 3).points:
-        lam2 = float(x @ axis) ** 2
-        expected = p * (n + q) * lam2 - q * (1.0 + c * c - lam2) * (c * c - (n - p + 1.0) * lam2)
-        assert abs(multiplier(s, S3, x, MetricParams(p, q)) - expected) < 1e-12
+    X = mc(S3, 20, 3).points
+    lam2 = (X @ axis) ** 2
+    expected = p * (n + q) * lam2 - q * (1.0 + c * c - lam2) * (c * c - (n - p + 1.0) * lam2)
+    got = multiplier_from_jets(sections.jet_batch(s, S3, X), MetricParams(p, q))
+    assert np.max(np.abs(got - expected)) < 1e-12
 
 
 # --- residual reports ----------------------------------------------------------
@@ -142,8 +143,8 @@ def test_residual_expansion_identity():
     for s in (ConformalGradient(np.array([0.9, -0.4, 0.2, 0.0])),
               Rescaled(Hopf(), AxisLinear(np.array([0.0, 1.0, 0.0, 0.0])))):
         jets = sections.jet_batch(s, S3, quad.points)
-        t_vec = variational._tension_from_jets(jets, p)
-        mult = variational._multiplier_from_jets(jets, MetricParams(p, q))
+        t_vec = tension_from_jets(jets, p)
+        mult = multiplier_from_jets(jets, MetricParams(p, q))
         lhs = np.sum((t_vec - mult[:, None] * jets.value) * jets.value, axis=1)
         f_half = jets.half_len2
         grad_sq = np.sum(jets.grad_half_len2**2, axis=1)
@@ -216,28 +217,37 @@ def test_first_variation_fd_rejects_unrepresentable_combination():
 # --- multiplier differences --------------------------------------------------------
 
 
+def multiplier_difference(jets, p, q, r):
+    """multiplier(p,r) - multiplier(p,q) from the jets."""
+    return multiplier_from_jets(jets, MetricParams(p, r)) - multiplier_from_jets(jets, MetricParams(p, q))
+
+
 def test_multiplier_difference_constant_length_and_equal_params():
-    x = mc(S3, 1, 14).points[0]
+    X = mc(S3, 1, 14).points
     s = Rescaled(Hopf(), Constant(1.3))
-    assert multiplier_difference(s, S3, x, 2.0, -1.0, 5.0) == 0.0
+    assert multiplier_difference(sections.jet_batch(s, S3, X), 2.0, -1.0, 5.0)[0] == 0.0
     s2 = ConformalGradient(E1)
-    assert multiplier_difference(s2, S3, x, 2.0, 0.7, 0.7) == 0.0
+    assert multiplier_difference(sections.jet_batch(s2, S3, X), 2.0, 0.7, 0.7)[0] == 0.0
 
 
 def test_multiplier_difference_value_at_axis_point():
     """At the axis point the height is 1, grad F vanishes, lap F = -3."""
-    out = multiplier_difference(ConformalGradient(E1), S3, E1, 6.0, 0.0, 1.0)
-    assert abs(out - 3.0) < 1e-12
+    jets = sections.jet_batch(ConformalGradient(E1), S3, E1[None, :])
+    out = multiplier_difference(jets, 6.0, 0.0, 1.0)
+    assert abs(out[0] - 3.0) < 1e-12
 
 
 def test_multiplier_difference_factored_equals_direct():
+    """multiplier(p,r) - multiplier(p,q) = (q - r) * (p*|grad F|^2 + (1+2F)*lap F)."""
     rng = np.random.Generator(np.random.Philox(15))
     quad = mc(S3, 30, 16)
     s = ConformalGradient(np.array([0.7, 0.2, -0.5, 0.1]))
-    for x in quad.points:
+    jets = sections.jet_batch(s, S3, quad.points)
+    grad_f_sq = np.sum(jets.grad_half_len2**2, axis=1)
+    for i in range(quad.n_points):
         p, q, r = rng.uniform(-4, 6, size=3)
-        direct = multiplier(s, S3, x, MetricParams(p, r)) - multiplier(s, S3, x, MetricParams(p, q))
-        factored = multiplier_difference(s, S3, x, p, q, r)
+        direct = multiplier_difference(jets, p, q, r)[i]
+        factored = (q - r) * (p * grad_f_sq[i] + (1.0 + 2.0 * jets.half_len2[i]) * jets.lap_half_len2[i])
         assert abs(direct - factored) < 1e-10
 
 
