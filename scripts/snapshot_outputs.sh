@@ -37,6 +37,13 @@ run sweep_conformal sweep --kind conformal --manifold sphere:5 --p 6 --q -3 \
     --range 0.1:2 --steps 50 --samples 2000 --seed 5 --output "$out/sweep_conformal.csv"
 run regions regions --mu 0.5 --nu 1 --p-range -5:5 --q-range -8:4 --res 60 \
     --output "$out/regions.csv" --svg "$out/regions.svg"
+# cells on p = -4, -1, 0, 1, 2, on mu*q = 2p, mu*q = 1-p = q/(2*nu) and on the cut-off
+run regions_boundary regions --mu 0.5 --nu 1 --p-range -4:4 --q-range -8:8 --res 9 \
+    --output "$out/regions_boundary.csv" --svg "$out/regions_boundary.svg"
+run regions_256 regions --mu 0.93 --nu 1.17 --p-range -4.2:3.8 --q-range -6.1:2.9 --res 256 \
+    --output "$out/regions_256.csv" --svg "$out/regions_256.svg"
+# the CSV on stdout
+run regions_stdout regions --mu 1.5 --nu 0.75 --p-range -6:6 --q-range -10:5 --res 40
 run verify verify --fast --seed 42 --output "$out/verify_report.json"
 # timings vary from run to run; keep only the pass/fail column of the table
 sed 's/ *[0-9.]*s$//; s/ ([0-9.]*s total)$//' "$out/verify.err" > "$out/verify.err.tmp"

@@ -99,9 +99,9 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _require_finite(report: dict, what: str) -> None:
-    """Extreme (p, q) overflow w^p or the q terms; such a report has no JSON form."""
-    if not all(math.isfinite(v) for v in report.values() if isinstance(v, float)):
+def _require_finite(values, what: str) -> None:
+    """Extreme (p, q) overflow w^p or the q terms; such a result has no JSON form."""
+    if not all(math.isfinite(v) for v in values if isinstance(v, float)):
         raise UsageError("--p/--q", f"the {what} is not finite at these parameters")
 
 
@@ -146,7 +146,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
     cfg = _parse_config(args)
     quad = _make_quadrature(cfg)
     report = energy.energy(cfg.section, cfg.manifold, energy.MetricParams(args.p, args.q), quad)
-    _require_finite(report.to_json_dict(), "energy")
+    _require_finite(report.to_json_dict().values(), "energy")
     payload = {
         "manifold": cfg.canonical_manifold,
         "section": cfg.canonical_section,
@@ -180,7 +180,7 @@ def cmd_residual(args: argparse.Namespace) -> int:
         cfg.section, cfg.manifold, energy.MetricParams(args.p, args.q), quad,
         with_per_point=args.per_point is not None,
     )
-    _require_finite(report.to_json_dict(), "residual")
+    _require_finite(report.to_json_dict().values(), "residual")
     if args.per_point is not None:
         axis = sections.section_axis(cfg.section)
         with open(args.per_point, "w", newline="") as fh:
@@ -218,6 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             result = solver.conformal_axis_sweep(cfg.manifold, mp, (lo, hi), args.steps, quad)
         except ValueError as exc:
             raise UsageError("--manifold", str(exc)) from None
+    _require_finite((v for pt in result.grid for v in (pt.l2_residual, pt.energy)), "sweep grid")
     if args.output:
         with open(args.output, "w", newline="") as fh:
             result.to_csv(fh)
@@ -238,8 +239,6 @@ def cmd_solve52(args: argparse.Namespace) -> int:
 
 
 def cmd_regions(args: argparse.Namespace) -> int:
-    import io
-
     from . import regions
 
     for flag, value in (("--mu", args.mu), ("--nu", args.nu)):
@@ -251,15 +250,17 @@ def cmd_regions(args: argparse.Namespace) -> int:
         if not lo < hi:
             raise UsageError(flag, f"need lo < hi, got {lo!r}:{hi!r}")
     try:
-        rows = regions.export_region_grid(args.mu, args.nu, p_range, q_range, args.res)
+        grid = regions.export_region_grid(args.mu, args.nu, p_range, q_range, args.res)
     except ValueError as exc:
         raise UsageError("--res", str(exc)) from None
-    buf = io.StringIO()
-    regions.region_grid_to_csv(rows, buf)
-    _emit(buf.getvalue(), args.output)
+    if args.output:
+        with open(args.output, "w", newline="") as fh:
+            regions.region_grid_to_csv(grid, fh)
+    else:
+        regions.region_grid_to_csv(grid, sys.stdout)
     if args.svg:
         with open(args.svg, "w") as fh:
-            regions.region_grid_to_svg(rows, fh)
+            regions.region_grid_to_svg(grid, fh)
     return 0
 
 
@@ -349,16 +350,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _RANGE_FLAGS = ("--range", "--p-range", "--q-range")
+_NUMBER_FLAGS = ("--p", "--q", "--mu", "--nu")
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def _join_range_values(argv: list[str]) -> list[str]:
-    """Attach range values to their flags so "--q-range -8:4" parses even
-    though the value starts with a dash."""
+    """Join flags to their values so "--q-range -8:4" and "--p -1e-3" parse
+    although the value starts with a dash (argparse reads "-1e-3" as a flag):
+    a range flag takes the next token, a number flag takes it when it reads
+    as a number."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _RANGE_FLAGS and i + 1 < len(argv):
+        if i + 1 < len(argv) and (
+            tok in _RANGE_FLAGS or tok in _NUMBER_FLAGS and _is_number(argv[i + 1])
+        ):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:

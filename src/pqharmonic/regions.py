@@ -8,7 +8,6 @@ boundaries should pass exactly representable values.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,46 +190,101 @@ class RegionGridRow:
     labels: tuple[str, ...]
 
 
+MAX_RESOLUTION = 4096
+
+# bit i of a cell mask is membership in _LABEL_BITS[i], in the order in which
+# a cell lists its labels
+_LABEL_BITS = (F_MINUS, F_0, F_1, G_1, W, RHO_BELOW)
+_MASK_LABELS = tuple(
+    tuple(name for bit, name in enumerate(_LABEL_BITS) if mask >> bit & 1)
+    for mask in range(1 << len(_LABEL_BITS))
+)
+
+
+@dataclass(frozen=True, eq=False)
+class RegionGrid:
+    """Labels of a regular (p, q) grid: bit i of ``masks[i_p, i_q]`` is the
+    cell's membership in the i-th of F_minus, F_0, F_1, G_1, W, rho_below.
+
+    ``len`` is the cell count; iteration yields one RegionGridRow per cell,
+    p-major then q ascending.
+    """
+
+    ps: np.ndarray
+    qs: np.ndarray
+    masks: np.ndarray
+
+    def __len__(self) -> int:
+        return self.masks.size
+
+    def __iter__(self):
+        qs = self.qs.tolist()
+        for p, row in zip(self.ps.tolist(), self.masks):
+            for q, mask in zip(qs, row.tolist()):
+                yield RegionGridRow(p, q, _MASK_LABELS[mask])
+
+
+def _label_members(mu: float, nu: float, p: np.ndarray, q: np.ndarray):
+    """Membership of a p column against a q row, one boolean array per label
+    in mask bit order.  Each predicate repeats the scalar one (in_F, in_G1,
+    in_W, cutoff_rho) operation for operation, comparisons included, so the
+    cells agree with the scalar calls bit for bit."""
+    mu_q = mu * q
+    one_minus_p = 1 - p
+    above_one = p > 1
+    yield (p < 0) & (mu_q <= 2 * p)
+    yield (p >= 0) & (p <= 1)
+    yield above_one & (mu_q < one_minus_p)
+    yield above_one & (q >= 2 * nu * one_minus_p)
+    yield above_one & (2 * mu * nu * one_minus_p <= mu_q) & (mu_q < one_minus_p)
+    cutoff = np.where(p <= -1, -1.0 - p, np.where(p <= 2, 0.0, nu * (2.0 - p) / 2.0))
+    yield (p >= -4) & (q < cutoff)
+
+
 def export_region_grid(
     mu: float, nu: float,
     p_range: tuple[float, float], q_range: tuple[float, float],
     resolution: int,
-) -> list[RegionGridRow]:
-    """Membership labels on a regular (p, q) grid, p-major then q ascending.
+) -> RegionGrid:
+    """Membership labels on a regular (p, q) grid of resolution^2 cells.
 
     Labels per cell are drawn from {F_minus, F_0, F_1, G_1, W, rho_below};
     rho_below means q < cutoff_rho(nu, p) and is omitted where the cut-off
-    is undefined (p < -4).
+    is undefined (p < -4).  The resolution per axis is 2 to MAX_RESOLUTION.
     """
-    spec = RegionSpec(mu, nu)
+    RegionSpec(mu, nu)  # rejects mu, nu <= 0
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
+    if resolution > MAX_RESOLUTION:
+        raise ValueError(f"resolution must be <= {MAX_RESOLUTION} per axis, got {resolution}")
     p_lo, p_hi = p_range
     q_lo, q_hi = q_range
     if not (p_lo < p_hi and q_lo < q_hi):
         raise ValueError("empty parameter range")
-    rows = []
-    for p in np.linspace(p_lo, p_hi, resolution):
-        for q in np.linspace(q_lo, q_hi, resolution):
-            labels = []
-            verdict = in_F(mu, float(p), float(q))
-            if verdict.member:
-                labels.append(verdict.region_name)
-            if in_G1(nu, float(p), float(q)).member:
-                labels.append(G_1)
-            if in_W(mu, nu, float(p), float(q)).member:
-                labels.append(W)
-            if p >= -4 and q < cutoff_rho(nu, float(p)):
-                labels.append(RHO_BELOW)
-            rows.append(RegionGridRow(float(p), float(q), tuple(labels)))
-    return rows
+    ps = np.linspace(p_lo, p_hi, resolution)
+    qs = np.linspace(q_lo, q_hi, resolution)
+    masks = np.zeros((resolution, resolution), np.uint8)
+    # Python floats overflow to inf (and inf * 0 to nan) without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bit, member in enumerate(_label_members(mu, nu, ps[:, None], qs[None, :])):
+            np.bitwise_or(masks, np.uint8(1 << bit), out=masks, where=member)
+    return RegionGrid(ps, qs, masks)
 
 
-def region_grid_to_csv(rows: list[RegionGridRow], fileobj) -> None:
-    writer = csv.writer(fileobj)
-    writer.writerow(["p", "q", "labels"])
-    for row in rows:
-        writer.writerow([format(row.p, ".17g"), format(row.q, ".17g"), ";".join(row.labels)])
+# label field and line end of a CSV row, per mask
+_MASK_CSV_END = tuple(";".join(labels) + "\r\n" for labels in _MASK_LABELS)
+
+
+def region_grid_to_csv(grid: RegionGrid, fileobj) -> None:
+    """Header ``p,q,labels`` and one ``p,q,labels`` line per cell, in grid
+    order, with CRLF line ends: the bytes csv.writer writes (no field here
+    needs quoting).  One write per p row."""
+    fileobj.write("p,q,labels\r\n")
+    q_fields = [f",{q:.17g}," for q in grid.qs.tolist()]
+    for p, row in zip(grid.ps.tolist(), grid.masks):
+        p_field = format(p, ".17g")
+        fileobj.write("".join([p_field + q + _MASK_CSV_END[mask]
+                               for q, mask in zip(q_fields, row.tolist())]))
 
 
 _SVG_COLORS = {
@@ -242,15 +296,21 @@ _SVG_COLORS = {
     NONE: "#f7f7f7",
 }
 _SVG_PRIORITY = (W, F_1, G_1, F_0, F_MINUS)
+# end of a cell's <rect> element, per mask; None leaves the background showing
+_MASK_RECT_END = tuple(
+    next((_SVG_COLORS[name] + '"/>\n' for name in _SVG_PRIORITY if name in labels), None)
+    for labels in _MASK_LABELS
+)
 
 
 def region_grid_to_svg(
-    rows: list[RegionGridRow], fileobj,
+    grid: RegionGrid, fileobj,
     width: int = 640, height: int = 640,
 ) -> None:
-    """Filled-cell rendering of the grid with axis ticks at integers."""
-    ps = sorted({r.p for r in rows})
-    qs = sorted({r.q for r in rows})
+    """Filled-cell rendering of the grid with axis ticks at integers; one
+    write per p row of cells."""
+    ps = sorted(set(grid.ps.tolist()))
+    qs = sorted(set(grid.qs.tolist()))
     p_lo, p_hi = ps[0], ps[-1]
     q_lo, q_hi = qs[0], qs[-1]
     cell_w = width / len(ps)
@@ -263,25 +323,18 @@ def region_grid_to_svg(
     def y_of(q):
         return margin + (q_hi - q) / (q_hi - q_lo) * height
 
-    parts = [
+    fileobj.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width + 2 * margin}" '
-        f'height="{height + 2 * margin}">',
-        f'<rect x="{margin}" y="{margin}" width="{width}" height="{height}" fill="{_SVG_COLORS[NONE]}"/>',
-    ]
-    for row in rows:
-        color = None
-        for name in _SVG_PRIORITY:
-            if name in row.labels:
-                color = _SVG_COLORS[name]
-                break
-        if color is None:
-            continue
-        x = x_of(row.p) - cell_w / 2
-        y = y_of(row.q) - cell_h / 2
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" height="{cell_h:.2f}" '
-            f'fill="{color}"/>'
-        )
+        f'height="{height + 2 * margin}">\n'
+        f'<rect x="{margin}" y="{margin}" width="{width}" height="{height}" fill="{_SVG_COLORS[NONE]}"/>\n'
+    )
+    size = f'" width="{cell_w:.2f}" height="{cell_h:.2f}" fill="'
+    y_fields = [f'" y="{y_of(q) - cell_h / 2:.2f}{size}' for q in grid.qs.tolist()]
+    for p, row in zip(grid.ps.tolist(), grid.masks):
+        x_field = f'<rect x="{x_of(p) - cell_w / 2:.2f}'
+        ends = [_MASK_RECT_END[mask] for mask in row.tolist()]
+        fileobj.write("".join([x_field + y + end for y, end in zip(y_fields, ends) if end is not None]))
+    parts = []
     for p in range(int(np.ceil(p_lo)), int(np.floor(p_hi)) + 1):
         x = x_of(p)
         parts.append(f'<line x1="{x:.2f}" y1="{margin + height}" x2="{x:.2f}" '

@@ -60,11 +60,42 @@ REGIONS = ["regions", "--res", "4"]
     ("--nu", [*REGIONS, "--mu", "1", "--nu", "0", "--p-range", "-5:5", "--q-range", "-8:4"]),
     ("--p-range", [*REGIONS, "--mu", "1", "--nu", "1", "--p-range", "5:-5", "--q-range", "-8:4"]),
     ("--q-range", [*REGIONS, "--mu", "1", "--nu", "1", "--p-range", "-5:5", "--q-range", "4:-8"]),
+    ("--res", ["regions", "--res", "4097", "--mu", "1", "--nu", "1", "--p-range", "-5:5",
+               "--q-range", "-8:4"]),
+    ("--p/--q", ["sweep", "--kind", "scale", "--section", "hopf", "--manifold", "sphere:3",
+                 "--p=-1e308", "--q", "0", "--range", "0.1:3", "--samples", "200"]),
+    # a negative exponent-form value is read as the flag's value
+    ("--mu", [*REGIONS, "--mu", "-1e-3", "--nu", "1", "--p-range", "-5:5", "--q-range", "-8:4"]),
+    ("--q", ["energy", "--section", "hopf", *S3_RUN, "--p", "-1e-3", "--q", "-inf"]),
 ])
 def test_bad_input_exits_2_naming_the_flag(flag, argv):
     code, err = run_contract(argv)
     assert code == 2
     assert flag in err
+
+
+def test_negative_exponent_values_are_read_as_numbers(tmp_path):
+    base = ["energy", "--section", "hopf", *S3_RUN, "--q", "0"]
+    outputs = []
+    for p_args in (["--p", "-1e-3"], ["--p=-1e-3"]):
+        path = tmp_path / "energy.json"
+        code, err = run_contract([*base, *p_args, "--output", str(path)])
+        assert code == 0, err
+        outputs.append(path.read_text())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["p"] == -1e-3
+    code, err = run_contract(["regions", "--mu", "-2.5e-1", "--nu", "1", "--p-range", "-5:5",
+                              "--q-range", "-8:4"])
+    assert code == 2 and "--mu: must be positive" in err
+
+
+def test_overflowing_sweep_writes_no_csv(tmp_path):
+    path = tmp_path / "sweep.csv"
+    code, err = run_contract(["sweep", "--kind", "scale", "--section", "hopf", "--manifold", "sphere:3",
+                              "--p", "-1e308", "--q", "0", "--range", "0.1:3", "--samples", "200",
+                              "--output", str(path)])
+    assert code == 2 and "--p/--q" in err and "sweep grid" in err
+    assert not path.exists()
 
 
 P_Q_FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]))
